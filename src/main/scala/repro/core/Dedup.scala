@@ -30,22 +30,26 @@ object Dedup {
     }
 
   /** Are `p1` and `p2` equivalent w.r.t. `source`? */
-  def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean = {
-    val a = atomize(p1); val b = atomize(p2)
+  def equivalent(p1: Plan, p2: Plan, source: Pattern): Boolean =
+    equivalentAtoms(atomize(p1), atomize(p2), source)
+
+  private def equivalentAtoms(a: Vector[StringExpr], b: Vector[StringExpr], source: Pattern): Boolean =
     a.size == b.size && a.indices.forall(k => opsEqual(a(k), b(k), source))
-  }
 
   /** Keep only the first (i.e. simplest, given DL-sorted input) plan of
     * each equivalence class, preserving order; stops after `maxKeep` kept
-    * plans so cost is O(n·maxKeep) rather than O(n²).
+    * plans so cost is O(n·maxKeep) rather than O(n²). Each plan is
+    * atomized once.
     */
   def dedup(ranked: Seq[Plan], source: Pattern, maxKeep: Int = Int.MaxValue): Vector[Plan] = {
-    val seen = scala.collection.mutable.ArrayBuffer.empty[Plan]
+    val kept = Vector.newBuilder[Plan]
+    val keptAtoms = scala.collection.mutable.ArrayBuffer.empty[Vector[StringExpr]]
     val it = ranked.iterator
-    while (it.hasNext && seen.size < maxKeep) {
+    while (it.hasNext && keptAtoms.size < maxKeep) {
       val p = it.next()
-      if (!seen.exists(q => equivalent(p, q, source))) seen += p
+      val a = atomize(p)
+      if (!keptAtoms.exists(b => equivalentAtoms(a, b, source))) { kept += p; keptAtoms += a }
     }
-    seen.toVector
+    kept.result()
   }
 }

@@ -64,13 +64,12 @@ object Synthesizer {
       if (p.isEmpty) queue.enqueueAll(node.children) // synthetic root
       else if (targetSet.contains(p)) () // already in a desired form
       else {
-        val plans: Vector[Plan] =
-          if (targets.exists(t => Validate.validateAt(p, t, node.isLeaf))) {
-            val all = targets.flatMap { t =>
-              if (Validate.validateAt(p, t, node.isLeaf)) plansFor(p, t, k) else Vector.empty
-            }
-            Dedup.dedup(Mdl.rank(all, p.size), p, maxKeep = k)
-          } else Vector.empty
+        val plans: Vector[Plan] = targets.filter(t => Validate.validateAt(p, t, node.isLeaf)) match {
+          case Seq()  => Vector.empty
+          // already ranked and deduplicated: doing it again is the identity
+          case Seq(t) => plansFor(p, t, k)
+          case valid  => Dedup.dedup(Mdl.rank(valid.flatMap(t => plansFor(p, t, k)), p.size), p, maxKeep = k)
+        }
         if (plans.nonEmpty) solutions += SourceSolution(p, plans)
         else if (node.isLeaf) noise += p
         else queue.enqueueAll(node.children)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.benchmark.Benchmarks
 import repro.sim.ClxSim
+import UniFi.Plan
 
 /** Cross-cutting invariants of the clustering/synthesis pipeline. */
 class InvariantSpec extends AnyFunSuite {
@@ -95,6 +96,44 @@ class InvariantSpec extends AnyFunSuite {
     (data.map(_._1) ++ Vector("", "completely unrelated ~~~", "ZZZ999")).foreach { s =>
       val (out, _) = o.program.applyFlagged(s)
       assert(out != null)
+    }
+  }
+
+  test("corpus: synthesize equals validate -> align -> enumerate -> reference rank -> dedup") {
+    val k = 40
+    def refDedup(ranked: Seq[Plan], source: Pattern): Vector[Plan] =
+      ranked.foldLeft(Vector.empty[Plan]) { (kept, p) =>
+        if (kept.size >= k || kept.exists(q => Dedup.equivalent(p, q, source))) kept else kept :+ p
+      }
+    def refPlans(p: Pattern, targets: Seq[Pattern]): Vector[Plan] = {
+      val perTarget = targets.flatMap { t =>
+        val dag = Alignment.align(t, p)
+        if (dag.isFeasible) refDedup(MdlSpec.refRank(dag.allPlans(), p.size), p) else Vector.empty
+      }
+      refDedup(MdlSpec.refRank(perTarget, p.size), p)
+    }
+    // Algorithm 2's walk, as in `Synthesizer.synthesize`
+    def reference(root: Hierarchy.PNode, targets: Vector[Pattern]): Synthesizer.Result = {
+      val solutions = Vector.newBuilder[Synthesizer.SourceSolution]
+      val noise = Vector.newBuilder[Pattern]
+      val queue = scala.collection.mutable.Queue(root)
+      while (queue.nonEmpty) {
+        val node = queue.dequeue()
+        val p = node.pattern
+        if (p.isEmpty) queue.enqueueAll(node.children)
+        else if (!targets.contains(p)) {
+          val plans = refPlans(p, targets.filter(t => Validate.validateAt(p, t, node.isLeaf)))
+          if (plans.nonEmpty) solutions += Synthesizer.SourceSolution(p, plans)
+          else if (node.isLeaf) noise += p
+          else queue.enqueueAll(node.children)
+        }
+      }
+      Synthesizer.Result(solutions.result(), noise.result())
+    }
+    Benchmarks.all.foreach { task =>
+      val targets = ClxSim.chooseTargets(task.data)
+      val root = Synthesizer.hierarchyOf(task.data.map(_._1))
+      assert(Synthesizer.synthesize(root, targets, k) == reference(root, targets), task.id)
     }
   }
 }
