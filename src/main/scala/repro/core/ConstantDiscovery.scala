@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** §4.1 "Find Constant Tokens".
   *
   * Within a pattern cluster, a token position whose underlying substring is
@@ -17,39 +19,26 @@ package repro.core
   */
 object ConstantDiscovery {
 
-  /** Per-position value summary of a cluster: (#distinct values, a value). */
-  final case class PositionStat(distinct: Long, value: String)
-
-  /** Rewrite `pattern` given per-position stats and the cluster size.
-    *
-    * This is the driver-side half; the stats can come from a local pass
-    * (`discoverLocal`) or from a distributed aggregation
-    * (see `repro.dist.PatternClusteringSpark`).
+  /** Rewrite `pattern` given, per position, `Some(v)` when every member of
+    * the cluster has value `v` there (`None` when the values vary), and the
+    * cluster size. The statistics come from a [[ClusterStats]] fold.
     */
-  def applyStats(pattern: Pattern, stats: Map[Int, PositionStat], clusterSize: Long,
-                 minSupport: Int = 2): Pattern = {
-    if (clusterSize < minSupport) return pattern
-    val upgraded = pattern.tokens.zipWithIndex.map { case (t, i) =>
-      if (t.isLiteral) t
-      else stats.get(i) match {
-        case Some(PositionStat(1, v)) => Token.lit(v)
-        case _                        => t
-      }
-    }
-    Pattern(upgraded)
-  }
+  def applyStats(pattern: Pattern, constants: Seq[Option[String]], clusterSize: Long,
+                 minSupport: Int = 2): Pattern =
+    if (clusterSize < minSupport) pattern
+    else Pattern(pattern.tokens.lazyZip(constants).map {
+      case (t, Some(v)) if !t.isLiteral => Token.lit(v)
+      case (t, _)                       => t
+    })
 
-  /** Local (in-memory) constant discovery over one cluster's strings. */
-  def discoverLocal(pattern: Pattern, strings: Seq[String], minSupport: Int = 2): Pattern = {
-    if (strings.isEmpty) return pattern
-    val splits = strings.flatMap(pattern.split)
-    if (splits.size != strings.size) return pattern // defensive
-    val stats = pattern.tokens.indices.map { i =>
-      val vals = splits.map(_(i)).distinct
-      i -> PositionStat(vals.size.toLong, vals.head)
-    }.toMap
-    applyStats(pattern, stats, strings.size.toLong, minSupport)
-  }
+  /** Local constant discovery over one cluster's strings. Unless every
+    * string tokenizes to the leaf pattern `pattern`, `pattern` is returned.
+    */
+  def discoverLocal(pattern: Pattern, strings: Seq[String], minSupport: Int = 2): Pattern =
+    ClusterStats.of(strings).leaves.get(pattern) match {
+      case Some((n, constants)) if n == strings.size => applyStats(pattern, constants, n, minSupport)
+      case _                                         => pattern
+    }
 
   /** Merge runs of adjacent literal tokens into a single literal token. */
   def mergeLiterals(p: Pattern): Pattern = {
@@ -63,4 +52,50 @@ object ConstantDiscovery {
     flush()
     Pattern(out.result())
   }
+}
+
+/** §4.1 clustering and constant discovery as one commutative fold: per
+  * leaf pattern, the string count and, per token position, the value every
+  * string has there, or `null` once two differ. Each string is tokenized
+  * once; `null` strings are skipped. `add` and `merge` commute, so the fold
+  * runs over a local `Seq` (`of`) or per Spark partition with the partials
+  * merged in any order (`repro.dist.PatternClusteringSpark`); `minSupport`
+  * applies to the merged count only.
+  */
+final class ClusterStats extends Serializable {
+  private val stats = mutable.HashMap.empty[Pattern, ClusterStats.Leaf]
+
+  def add(s: String): this.type = {
+    if (s != null) Tokenizer.tokenizeWithValues(s) match { case (p, values) => fold(p, 1, values) }
+    this
+  }
+
+  def merge(that: ClusterStats): this.type = {
+    that.stats.foreach { case (p, l) => fold(p, l.count, l.values) }
+    this
+  }
+
+  private def fold(p: Pattern, count: Long, values: collection.IndexedSeq[String]): Unit =
+    stats.get(p) match {
+      case None => stats(p) = new ClusterStats.Leaf(count, values.toArray)
+      case Some(l) =>
+        l.count += count
+        for (i <- values.indices if l.values(i) != values(i)) l.values(i) = null
+    }
+
+  /** Leaf pattern → (count, per position `Some(v)` if every string has `v` there). */
+  def leaves: Map[Pattern, (Long, Seq[Option[String]])] =
+    stats.view.mapValues(l => (l.count, l.values.toSeq.map(Option(_)))).toMap
+
+  /** Constant-discovered pattern → count; leaves refined alike are merged. */
+  def leafClusters(minSupport: Int = 2): Map[Pattern, Long] =
+    leaves.toSeq.groupMapReduce { case (p, (n, cs)) =>
+      ConstantDiscovery.applyStats(p, cs, n, minSupport) }(_._2._1)(_ + _)
+}
+
+object ClusterStats {
+  private final class Leaf(var count: Long, val values: Array[String]) extends Serializable
+
+  def of(strings: IterableOnce[String]): ClusterStats =
+    strings.iterator.foldLeft(new ClusterStats)(_ add _)
 }

@@ -61,7 +61,8 @@ object Synthesizer {
     while (queue.nonEmpty) {
       val node = queue.dequeue()
       val p = node.pattern
-      if (p.isEmpty) queue.enqueueAll(node.children) // synthetic root
+      // the synthetic root; a leaf of empty strings has a count and no children
+      if (p.isEmpty && (node.children.nonEmpty || node.count == 0)) queue.enqueueAll(node.children)
       else if (targetSet.contains(p)) () // already in a desired form
       else {
         val plans: Vector[Plan] = targets.filter(t => Validate.validateAt(p, t, node.isLeaf)) match {
@@ -88,25 +89,15 @@ object Synthesizer {
   }
 
   /** Cluster + constant-discover + build hierarchy for a string column. */
-  def hierarchyOf(strings: Seq[String], constantDiscovery: Boolean = true): PNode = {
-    val clusters = strings.groupBy(Tokenizer.tokenize)
-    val leaves = clusters.toSeq.map { case (p, ss) =>
-      val pat = if (constantDiscovery) ConstantDiscovery.discoverLocal(p, ss) else p
-      (pat, ss.size.toLong)
-    }
-    // constant discovery may map two raw patterns to the same refined one
-    val mergedLeaves = leaves.groupBy(_._1).view.mapValues(_.map(_._2).sum).toSeq
-    Hierarchy.root(Hierarchy.build(mergedLeaves))
-  }
+  def hierarchyOf(strings: Seq[String], constantDiscovery: Boolean = true): PNode =
+    Hierarchy.root(Hierarchy.build(leafClusters(strings, constantDiscovery).toSeq))
 
   /** Leaf pattern of each distinct string form, with counts — the cluster
-    * listing shown to the user for labeling (Fig. 3).
+    * listing shown to the user for labeling (Fig. 3). Patterns that
+    * constant discovery refines to the same pattern are merged.
     */
   def leafClusters(strings: Seq[String], constantDiscovery: Boolean = true): Map[Pattern, Long] = {
-    val clusters = strings.groupBy(Tokenizer.tokenize)
-    clusters.toSeq.map { case (p, ss) =>
-      val pat = if (constantDiscovery) ConstantDiscovery.discoverLocal(p, ss) else p
-      (pat, ss.size.toLong)
-    }.groupBy(_._1).view.mapValues(_.map(_._2).sum).toMap
+    val stats = ClusterStats.of(strings)
+    if (constantDiscovery) stats.leafClusters() else stats.leaves.view.mapValues(_._1).toMap
   }
 }

@@ -120,7 +120,7 @@ class InvariantSpec extends AnyFunSuite {
       while (queue.nonEmpty) {
         val node = queue.dequeue()
         val p = node.pattern
-        if (p.isEmpty) queue.enqueueAll(node.children)
+        if (p.isEmpty && (node.children.nonEmpty || node.count == 0)) queue.enqueueAll(node.children)
         else if (!targets.contains(p)) {
           val plans = refPlans(p, targets.filter(t => Validate.validateAt(p, t, node.isLeaf)))
           if (plans.nonEmpty) solutions += Synthesizer.SourceSolution(p, plans)

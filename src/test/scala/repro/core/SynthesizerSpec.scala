@@ -48,6 +48,15 @@ class SynthesizerSpec extends AnyFunSuite {
     assert(res.noise.nonEmpty)
   }
 
+  test("a cluster of empty strings is reported as noise, not skipped as the root (§6.1)") {
+    val strings = Seq("734-422-8073", "734-236-3466", "734.645.8397", "734.236.3466", "", "")
+    val target = p("(734) 645-8397")
+    val res = Synthesizer.fromStrings(strings, Seq(target))
+    assert(res.noise == Vector(Pattern.empty))
+    assert(res.solutions.nonEmpty)
+    assert(res.program(Seq(target)).applyFlagged("") == ("", false))
+  }
+
   test("program leaves noise unchanged and flagged") {
     val strings = Seq("734-422-8073", "N/A", "N/A")
     val res = Synthesizer.fromStrings(strings, Seq(p("(734) 645-8397")))

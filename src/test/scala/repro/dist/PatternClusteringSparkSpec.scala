@@ -62,6 +62,27 @@ class PatternClusteringSparkSpec extends SparkSpec {
     assert(viaSpark.count == viaLocal.count)
   }
 
+  test("hierarchy from a DataFrame equals the local hierarchy, whole tree, on messyPhones") {
+    val phones = SynthData.messyPhones(spark, rows = 2000, nFormats = 6)
+    val local = Synthesizer.hierarchyOf(phones.select("raw").collect().map(_.getString(0)).toSeq)
+    assert(PatternClusteringSpark.hierarchy(phones, "raw") == local)
+    assert(local.leaves.size == 6)
+  }
+
+  test("hierarchy from a DataFrame equals the local hierarchy, whole tree, on the 47 tasks") {
+    repro.benchmark.Benchmarks.all.foreach { task =>
+      val inputs = task.data.map(_._1)
+      assert(PatternClusteringSpark.hierarchy(df(inputs), "s") == Synthesizer.hierarchyOf(inputs), task.id)
+    }
+  }
+
+  test("leafClusters skips null values: it equals the local clusters of the non-null strings") {
+    import spark.implicits._
+    val data = Seq(Some("CPT115"), None, Some("CPT204")).toDF("s")
+    assert(PatternClusteringSpark.leafClusters(data, "s") == Synthesizer.leafClusters(Seq("CPT115", "CPT204")))
+    assert(PatternClusteringSpark.hierarchy(data, "s").count == 2)
+  }
+
   test("null values are ignored by the pattern UDF") {
     import spark.implicits._
     val data = Seq(Some("ab"), None, Some("cd")).toDF("s")
